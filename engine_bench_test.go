@@ -91,9 +91,9 @@ func BenchmarkDecomposeFreshParallel(b *testing.B)  { benchmarkFresh(b, 0) }
 // BenchmarkParallelHLBUB is the worker-scaling benchmark behind
 // BENCH_parallel.json and the README scaling table: one warm engine per
 // worker count, h = 2, h-LB+UB end to end (bounds, Algorithm 5 and the
-// concurrent interval peeling). workers=1 takes the serial peels; higher
-// counts run the level-synchronous Algorithm-5 rounds and drain the
-// interval work queue with per-worker solvers (host gates permitting).
+// concurrent interval peeling). workers=1 takes the serial interval
+// path; higher counts drain the interval work queue with per-worker
+// solvers (host gates permitting).
 // Each sub-benchmark also reports the pipeline's per-phase wall-times as
 // custom metrics ("phase-*-ns/op"), which benchjson folds into the
 // phase_ns_per_op_by_workers section — the Amdahl split of the run,

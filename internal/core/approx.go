@@ -239,7 +239,7 @@ func (e *Engine) approxPeel(budget int, seed uint64) {
 		if d < 0 {
 			d = 0
 		}
-		e.ubdeg[v] = d //khcore:atomic-ok serial approximate peel; no fan-out is in flight
+		e.ubdeg[v] = d
 	}
 	e.approxResid = growFloat64(e.approxResid, n)
 	for i := range e.approxResid {
@@ -248,7 +248,7 @@ func (e *Engine) approxPeel(budget int, seed uint64) {
 	q := e.sv[0].q
 	q.Clear()
 	for v := 0; v < n; v++ {
-		q.insert(v, int(e.ubdeg[v])) //khcore:atomic-ok serial approximate peel; no fan-out is in flight
+		q.insert(v, int(e.ubdeg[v]))
 	}
 	t := e.trav()
 	ubdeg := e.ubdeg
@@ -286,11 +286,11 @@ func (e *Engine) approxPeel(budget int, seed uint64) {
 						continue
 					}
 				}
-				nd := int(ubdeg[u]) - dec //khcore:atomic-ok serial approximate peel; no fan-out is in flight
+				nd := int(ubdeg[u]) - dec
 				if nd < 0 {
 					nd = 0
 				}
-				ubdeg[u] = int32(nd) //khcore:atomic-ok serial approximate peel; no fan-out is in flight
+				ubdeg[u] = int32(nd)
 				e.stats.Decrements++
 				nk := nd
 				if nk < k {

@@ -86,6 +86,42 @@ func propagateMax(g *graph.Graph, cur, next []int32) {
 	}
 }
 
+// ubMinInto computes, for every vertex, the minimum upper bound over its
+// closed h-ball with h rounds of neighbor-min propagation, O(h·|E|) total.
+// A vertex v with ubMin[v] ≥ kmin has no vertex outside V[kmin] within
+// distance h, so its h-ball in G[V[kmin]] is its h-ball in G and the
+// phase-1 h-degree is exact there (see improveLB). The engine's ubMin
+// scratch and the Algorithm-5 ubdeg buffer, idle once the upper bounds are
+// final, form the double buffer; the returned slice is whichever holds the
+// final round.
+func (e *Engine) ubMinInto(ub []int32) []int32 {
+	n := len(ub)
+	e.ubMin = growInt32(e.ubMin, n)
+	e.ubdeg = growInt32(e.ubdeg, n)
+	copy(e.ubMin, ub)
+	cur, next := e.ubMin, e.ubdeg
+	for r := 0; r < e.h; r++ {
+		propagateMin(e.g, cur, next)
+		cur, next = next, cur
+	}
+	return cur
+}
+
+// propagateMin is the twin of propagateMax: it writes into next, for every
+// vertex, the minimum of cur over its closed neighborhood — one round of
+// the ubMin propagation.
+func propagateMin(g *graph.Graph, cur, next []int32) {
+	for v := range next {
+		best := cur[v]
+		for _, u := range g.Neighbors(v) {
+			if cur[u] < best {
+				best = cur[u]
+			}
+		}
+		next[v] = best
+	}
+}
+
 // LowerBounds exposes LB1 and LB2 for analysis (Table 4). workers ≤ 0
 // selects NumCPU. A nil graph yields empty slices — the analysis helpers
 // are total, mirroring how an empty graph behaves; entry points that must
@@ -99,6 +135,7 @@ func LowerBounds(g *graph.Graph, h, workers int) (lb1, lb2 []int32) {
 	}
 	n := g.NumVertices()
 	pool := hbfs.NewPool(g, workers)
+	defer pool.Close()
 	var verts []int32
 	if needsLB1BFS(h) {
 		verts = make([]int32, n)
@@ -126,5 +163,6 @@ func HDegrees(g *graph.Graph, h, workers int) []int32 {
 		return []int32{}
 	}
 	pool := hbfs.NewPool(g, workers)
+	defer pool.Close()
 	return pool.HDegreesAll(h, nil)
 }

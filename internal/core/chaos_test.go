@@ -49,10 +49,9 @@ func chaosSeed(t *testing.T) uint64 {
 // capture/rethrow seam before the pool's recover sees them.
 func TestChaosEnginePoolPanics(t *testing.T) {
 	leakcheck.Check(t)
-	// Force every concurrent path (interval fan-out AND the Algorithm-5
-	// parallel peel) so the all-sites coverage assertion below holds even
-	// on a single-core runner, where UBRebucket would otherwise be gated
-	// off with the parallel peel itself.
+	// Force the interval fan-out so the concurrent path is stormed even on
+	// a single-core runner, where the GOMAXPROCS gate would otherwise
+	// route every run onto the serial peel.
 	forceParallel(t)
 	seed := chaosSeed(t)
 	t.Logf("chaos seed %d (set KHCORE_CHAOS_SEED to reproduce)", seed)

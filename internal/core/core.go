@@ -189,9 +189,9 @@ type Stats struct {
 
 	// Phase wall-times of the HLBUB pipeline (zero for HLB/HBZ, which
 	// have no such split). Together they record the Amdahl decomposition
-	// of a run directly: PhaseUpperBound is the Algorithm-5 prefix that
-	// was fully serial before the level-synchronous peel, and
-	// PhaseIntervals is the partition peeling that scales across workers.
+	// of a run directly: PhaseUpperBound is the serial Algorithm-5 peel,
+	// and PhaseIntervals is the partition peeling that scales across
+	// workers.
 	PhaseHDegrees    time.Duration
 	PhaseLowerBounds time.Duration
 	PhaseUpperBound  time.Duration
@@ -306,13 +306,22 @@ func DecomposeCtx(ctx context.Context, g *graph.Graph, opts Options) (*Result, e
 	if g == nil {
 		return nil, fmt.Errorf("%w: Decompose", ErrNilGraph)
 	}
-	return NewEngine(g, opts.Workers).DecomposeCtx(ctx, opts)
+	e := NewEngine(g, opts.Workers)
+	defer e.Close()
+	return e.DecomposeCtx(ctx, opts)
 }
 
 // interval is one top-down partition of Algorithm 4: core-index range
 // [kmin, kmax], resolved on the subgraph induced by {v : UB(v) ≥ kmin}.
 type interval struct {
 	kmin, kmax int
+}
+
+// runBounds is the per-run bound state every h-LB+UB interval solver
+// reads and none writes: the upper bounds, LB2, the phase-1 h-degrees in
+// G, and ubMin (see ubMinInto).
+type runBounds struct {
+	ub, lb2, degH, ubMin []int32
 }
 
 // Engine is a long-lived decomposition context bound to one graph. It owns
@@ -339,6 +348,7 @@ type Engine struct {
 	degH      []int32
 	ub        []int32
 	ubdeg     []int32
+	ubMin     []int32 // minimum ub over each vertex's closed h-ball (HLBUB)
 	ubvals    []int32 // distinct upper-bound values, descending
 	ubcnt     []int32 // upper-bound histogram (vertices per distinct value)
 	intervals []interval
@@ -347,31 +357,12 @@ type Engine struct {
 	// (keeping repeat runs allocation-free) and reads the fields below,
 	// which are set for the duration of one Pool.Run fan-out.
 	parJob func(worker int, t *hbfs.Traversal)
-	parUB  []int32
-	parLB2 []int32
+	par    runBounds
 	// parSolvers is the bound fleet size for the current fan-out:
 	// min(pool workers, interval count) — arenas beyond it are never
 	// created and workers beyond it no-op.
 	parSolvers int
 	cursor     atomic.Int64
-
-	// Level-synchronous parallel Algorithm-5 scratch: the current round's
-	// frontier (the drained bucket), one touched-vertex list per pool
-	// worker for the post-round re-bucket pass, and the ball callback —
-	// bound once at construction, like parJob, to keep runs
-	// allocation-free. ubStamp[v] holds the round that last claimed v for
-	// re-bucketing (claimed by CAS, so each touched vertex lands in
-	// exactly one worker's pending list and the serial re-bucket pass
-	// processes unique vertices only), ubRound the current round number,
-	// and ubDecs the per-worker decrement tallies (strided to keep the
-	// hot counters off one cache line) that replace the per-entry
-	// counting the deduplicated lists can no longer provide.
-	ubFrontier []int32
-	ubTouched  [][]int32
-	ubStamp    []int32
-	ubRound    int32
-	ubDecs     []int64
-	ubBallJob  hbfs.BallFunc
 
 	// Approximate-peel scratch: per-vertex fractional decrement carry
 	// (see approxPeel).
@@ -433,46 +424,18 @@ func NewEngine(g *graph.Graph, workers int) *Engine {
 			if i >= n {
 				return
 			}
-			// Claim intervals bottom-up: the lowest intervals induce the
-			// widest subgraphs and dominate the makespan, so they must
-			// start first.
-			iv := e.intervals[n-1-i]
+			// Claim intervals top-down. ImproveLB recounts only boundary
+			// vertices, so the widest (lowest) subgraphs are not the
+			// costliest: on a road grid at h = 3 the top
+			// interval carries about 1.9M of the interval phase's 2.2M
+			// visits. Starting it first shortens the makespan, and lower
+			// intervals find more of its settles on the broadcast; on a
+			// 2-vCPU host this cut the two-worker interval phase by about
+			// 20% on that grid and 15% on a Barabási–Albert graph at h = 2.
+			iv := e.intervals[i]
 			s.stats.Partitions++
-			s.solveInterval(iv.kmin, iv.kmax, e.parUB, e.parLB2)
+			s.solveInterval(iv.kmin, iv.kmax, e.par)
 		}
-	}
-	// Ball callback of the level-synchronous Algorithm-5 rounds: decrement
-	// the approximate h-degree of every still-queued member of a popped
-	// vertex's h-ball and claim first-touched vertices into this worker's
-	// pending list. The bucket queue is only probed (Contains is a plain
-	// array read and the queue is not mutated during a fan-out), the
-	// decrement is atomic because several balls may hit the same vertex,
-	// and the round-stamp CAS gives every touched vertex exactly one list
-	// slot — the stamp's only transition within a round is to the round
-	// number, so a failed CAS always means another worker owns the vertex.
-	// Decrement counts go to the worker's own tally; the callback stays
-	// data-race-free by construction.
-	e.ubTouched = make([][]int32, e.pool.Workers())
-	e.ubDecs = make([]int64, e.pool.Workers()*ubDecStride)
-	e.ubBallJob = func(worker int, v int32, ball []int32, shellStart int) {
-		q := e.sv[0].q
-		ubdeg := e.ubdeg
-		round := e.ubRound
-		touched := e.ubTouched[worker]
-		var decs int64
-		for _, nb := range ball {
-			if !q.Contains(int(nb)) {
-				continue
-			}
-			atomic.AddInt32(&ubdeg[nb], -1)
-			decs++
-			if prev := atomic.LoadInt32(&e.ubStamp[nb]); prev != round &&
-				atomic.CompareAndSwapInt32(&e.ubStamp[nb], prev, round) {
-				touched = append(touched, nb)
-			}
-		}
-		e.ubTouched[worker] = touched
-		e.ubDecs[worker*ubDecStride] += decs
 	}
 	// The batch workers poll the same broadcast between chunks, so a
 	// canceled run drains the in-flight batch instead of finishing it; the
@@ -522,10 +485,6 @@ func growFloat64(s []float64, n int) []float64 {
 	}
 	return s[:n]
 }
-
-// ubDecStride spaces the per-worker Algorithm-5 decrement tallies eight
-// int64s apart so concurrent workers never bounce one cache line.
-const ubDecStride = 8
 
 // Decompose runs one (k,h)-core decomposition and returns a fresh Result.
 // Options.Workers is ignored — the pool size was fixed by NewEngine.

@@ -85,10 +85,11 @@ func (e *Engine) runHLBUB() {
 	e.planIntervals(ub, lb2, solvers)
 
 	t0 = time.Now()
+	b := runBounds{ub: ub, lb2: lb2, degH: e.degH, ubMin: e.ubMinInto(ub)}
 	if solvers > 1 && len(e.intervals) > 1 {
-		e.runIntervalsParallel(ub, lb2)
+		e.runIntervalsParallel(b)
 	} else {
-		e.runIntervalsSequential(ub, lb2)
+		e.runIntervalsSequential(b)
 	}
 	e.stats.PhaseIntervals = time.Since(t0)
 }
@@ -160,11 +161,13 @@ func (e *Engine) planIntervals(ub, lb2 []int32, solvers int) {
 	for _, u := range ub {
 		cnt[u]++
 	}
-	// Twice the solver count keeps the work queue deep enough to balance,
-	// but every partition pays an ImproveLB sweep over the cumulative
-	// V[kmin] — not just its own mass share — so the count is capped:
-	// past ~32 partitions the added bound work grows linearly with core
-	// count while the balancing benefit has long flattened.
+	// Twice the solver count keeps the work queue deep enough to balance.
+	// The count is still capped: every partition scans all of V to build
+	// V[kmin] and recounts the h-degrees of its boundary members (those
+	// within distance h of an excluded vertex — on hub-dominated graphs
+	// nearly all of V[kmin]), so past ~32 partitions the added work grows
+	// linearly with core count while the balancing benefit has long
+	// flattened.
 	parts := 2 * solvers
 	if parts < 8 {
 		parts = 8
@@ -229,9 +232,9 @@ func adaptiveSlack(n, distinct int) int {
 // schedule can exploit.
 //
 //khcore:peel
-func (e *Engine) runIntervalsSequential(ub, lb2 []int32) {
+func (e *Engine) runIntervalsSequential(b runBounds) {
 	s := e.sv[0]
-	copy(s.lb3, lb2)
+	copy(s.lb3, b.lb2)
 
 	for _, iv := range e.intervals {
 		if e.cancel.stop() {
@@ -241,7 +244,7 @@ func (e *Engine) runIntervalsSequential(ub, lb2 []int32) {
 		s.stats.Partitions++
 
 		// Line 12: V[kmin] = {v : UB(v) ≥ kmin} becomes the alive set.
-		if !s.buildPartition(kmin, ub) {
+		if !s.buildPartition(kmin, b.ub) {
 			continue
 		}
 
@@ -250,7 +253,7 @@ func (e *Engine) runIntervalsSequential(ub, lb2 []int32) {
 		// s.capped (cleared here — marks from the previous partition are
 		// stale) the survivors whose h-degree count was truncated.
 		s.capped.Clear()
-		s.improveLB(s.part, kmin, kmax)
+		s.improveLB(s.part, kmin, kmax, b)
 
 		// Lines 15–18: seed the bucket queue — with the settled-vertex
 		// carry, so vertices assigned by a higher interval are never
@@ -263,14 +266,14 @@ func (e *Engine) runIntervalsSequential(ub, lb2 []int32) {
 // runIntervalsParallel drains the planned intervals through one
 // partitionSolver per pool worker (Pool.Run hands each worker its index
 // and traversal; the engine's parJob closure claims intervals off an
-// atomic cursor, bottom-up so the widest subgraphs start first). Solvers
-// share only read-only state — the CSR graph, the upper bounds and LB2 —
-// plus the output core array, whose written positions are disjoint across
+// atomic cursor, top-down — see parJob for why). Solvers share only
+// read-only state — the CSR graph and the run's bound arrays — plus the
+// output core array, whose written positions are disjoint across
 // intervals; everything mutable lives in the per-worker arenas, so the
 // fan-out is race-free and the merged result deterministic.
 //
 //khcore:peel
-func (e *Engine) runIntervalsParallel(ub, lb2 []int32) {
+func (e *Engine) runIntervalsParallel(b runBounds) {
 	// An arena can only do work while an interval remains unclaimed, so
 	// the fleet is capped at the interval count: each arena pre-sizes
 	// O(n) scratch, and a 64-worker engine peeling a 32-interval plan
@@ -301,10 +304,10 @@ func (e *Engine) runIntervalsParallel(ub, lb2 []int32) {
 		s.bind(e.g, e.core, e.h, e.slack, nil, &e.cancel)
 		s.bcast = e.bcast
 	}
-	e.parUB, e.parLB2 = ub, lb2
+	e.par = b
 	e.cursor.Store(0)
 	e.pool.Run(e.parJob)
-	e.parUB, e.parLB2 = nil, nil
+	e.par = runBounds{}
 	for _, s := range e.sv[:w] {
 		// Detach: solver 0 doubles as the sequential arena, which must
 		// never consult a stale broadcast on a later serial run.

@@ -1,14 +1,22 @@
 package core
 
 // improveLB implements Algorithm 6 for one partition: given the partition's
-// vertex set as the solver's current alive mask, it (1) computes the
-// h-degree of every partition vertex inside the induced subgraph —
-// truncated just above kmax, the largest level this partition can settle,
-// since any count that reaches the cap already places the vertex beyond
-// every decision the partition makes — (2) derives the LB3 bound of
-// Property 3, and (3) "cleans" the partition by cascading removal of
-// vertices whose (optimistically decremented) h-degree falls below kmin,
-// since such vertices cannot belong to any core of this partition.
+// vertex set as the solver's current alive mask, it (1) takes the h-degree
+// of every partition vertex inside the induced subgraph — truncated just
+// above kmax, the largest level this partition can settle, since any
+// count that reaches the cap already places the vertex beyond every
+// decision the partition makes — (2) derives the LB3 bound of Property 3,
+// and (3) "cleans" the partition by cascading removal of vertices whose
+// (optimistically decremented) h-degree falls below kmin, since such
+// vertices cannot belong to any core of this partition.
+//
+// Step (1) counts only near the partition's boundary. A vertex v with
+// b.ubMin[v] ≥ kmin has every vertex within distance h inside V[kmin], so
+// its h-ball in the induced subgraph is its h-ball in G and the phase-1
+// count b.degH[v] is exact there; only vertices within distance h of an
+// excluded vertex pay an h-BFS. On a concentrated upper-bound spectrum,
+// where V[kmin] is nearly all of V for every partition, that turns one
+// full sweep per partition into a sweep of the few boundary vertices.
 //
 // Truncation bookkeeping: vertices whose count hit the cap are marked in
 // s.capped — their deg entry is a lower bound on the true h-degree, which
@@ -30,16 +38,27 @@ package core
 //
 //khcore:peel
 //khcore:vset-caller-epoch capped alive
-func (s *partitionSolver) improveLB(part []int32, kmin, kmax int) {
+func (s *partitionSolver) improveLB(part []int32, kmin, kmax int, b runBounds) {
 	s.dirty.Clear()
 	if len(part) == 0 {
 		return
 	}
-	// Step 1: h-degrees inside G[V[kmin]] (count-only sweep — parallel over
-	// the pool for the sequential solver, single-traversal inside a
-	// concurrent interval job — truncated above the partition's top level).
+	// Step 1: h-degrees inside G[V[kmin]], truncated above the partition's
+	// top level: the phase-1 count where the h-ball lies inside V[kmin],
+	// a count-only sweep of the rest (parallel over the pool for the
+	// sequential solver, single-traversal inside a concurrent interval
+	// job). The recount list borrows the cascade stack, which step 3 only
+	// needs afterwards.
 	capd := kmax + 1 + s.slack
-	s.stats.HDegreeComputations += s.hdegCappedBatch(part, capd)
+	recount := s.cascade[:0]
+	for _, v := range part {
+		if int(b.ubMin[v]) >= kmin {
+			s.deg[v] = min(b.degH[v], int32(capd))
+		} else {
+			recount = append(recount, v)
+		}
+	}
+	s.stats.HDegreeComputations += s.hdegCappedBatch(recount, capd)
 	for _, v := range part {
 		if int(s.deg[v]) >= capd {
 			s.capped.Add(int(v))

@@ -1,44 +1,33 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/gen"
+	"repro/internal/graph"
 )
 
-// forceParallel makes every concurrent path run regardless of the host's
-// GOMAXPROCS gate — the interval fan-out AND the level-synchronous
-// Algorithm-5 peel — so these tests exercise the real machinery (including
+// forceParallel makes the interval fan-out run regardless of the host's
+// GOMAXPROCS gate, so these tests exercise the real machinery (including
 // the settled-vertex broadcast) even on a single-core machine, where the
-// engine would otherwise — correctly — fall back to the serial paths.
+// engine would otherwise — correctly — fall back to the serial path.
 func forceParallel(t *testing.T) {
 	t.Helper()
-	old, oldUB := forceParallelIntervals, forceParallelUB
-	forceParallelIntervals, forceParallelUB = true, true
-	t.Cleanup(func() { forceParallelIntervals, forceParallelUB = old, oldUB })
+	old := forceParallelIntervals
+	forceParallelIntervals = true
+	t.Cleanup(func() { forceParallelIntervals = old })
 }
 
-// forceParallelUBOnly flips just the Algorithm-5 gate, so the upper-bound
-// equivalence property below isolates the level-synchronous peel from the
-// interval fan-out.
-func forceParallelUBOnly(t *testing.T) {
-	t.Helper()
-	old := forceParallelUB
-	forceParallelUB = true
-	t.Cleanup(func() { forceParallelUB = old })
-}
-
-// TestParallelUpperBoundBitIdentical is the level-synchronous Algorithm-5
-// guarantee: for randomized graphs, every h in 1..3 and several worker
-// counts, the round-based parallel peel must produce upper bounds
-// bit-identical to the serial peel — the peel is exact (it IS the core
-// decomposition of G^h), so this is equality of algorithms, not of
-// approximations. Run under -race in CI, it also checks the fan-out's
-// queue-probe/atomic-decrement discipline.
+// TestParallelUpperBoundBitIdentical pins that the Algorithm-5 bounds do
+// not depend on the engine's worker count: for randomized graphs, every h
+// in 1..3 and several worker counts, the upper bounds must be
+// bit-identical to a single-worker engine's — the peel is exact (it IS
+// the core decomposition of G^h), and only the h-degree batch that seeds
+// it is spread over the pool.
 func TestParallelUpperBoundBitIdentical(t *testing.T) {
-	forceParallelUBOnly(t)
 	check := func(seed int64) bool {
 		g := randGraph(seed, 60, 3)
 		for h := 1; h <= 3; h++ {
@@ -65,46 +54,144 @@ func TestParallelUpperBoundBitIdentical(t *testing.T) {
 	}
 }
 
+// hlbubAgreesAcrossWorkers decomposes g at h with 1, 2 and 8 workers and
+// reports whether the single-worker result passes the independent verifier
+// and the multi-worker results are bit-identical to it.
+func hlbubAgreesAcrossWorkers(t *testing.T, g *graph.Graph, h int, label string) bool {
+	t.Helper()
+	var want []int
+	for _, workers := range []int{1, 2, 8} {
+		res, err := Decompose(g, Options{H: h, Algorithm: HLBUB, Workers: workers})
+		if err != nil {
+			t.Logf("%s h=%d workers=%d: %v", label, h, workers, err)
+			return false
+		}
+		if workers == 1 {
+			want = res.Core
+			if err := Validate(g, h, want); err != nil {
+				t.Logf("%s h=%d: sequential result invalid: %v", label, h, err)
+				return false
+			}
+			continue
+		}
+		for v := range want {
+			if res.Core[v] != want[v] {
+				t.Logf("%s h=%d workers=%d: vertex %d: parallel core %d, sequential %d",
+					label, h, workers, v, res.Core[v], want[v])
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// cavemanGraph builds nBlocks disjoint dense blocks (cliques with a drop
+// fraction of their edges removed) of minSize..maxSize vertices, joined
+// into one component by a ring of single bridge edges.
+func cavemanGraph(nBlocks, minSize, maxSize int, drop float64, seed uint64) *graph.Graph {
+	r := gen.NewRNG(seed)
+	b := graph.NewBuilder(0)
+	starts := []int{0}
+	for i := 0; i < nBlocks; i++ {
+		v := starts[i]
+		size := minSize + r.Intn(maxSize-minSize+1)
+		for x := v; x < v+size; x++ {
+			for y := x + 1; y < v+size; y++ {
+				if r.Float64() >= drop {
+					b.AddEdge(x, y)
+				}
+			}
+		}
+		starts = append(starts, v+size)
+	}
+	for i := 0; i < nBlocks; i++ {
+		j := (i + 1) % nBlocks
+		b.AddEdge(starts[i]+r.Intn(starts[i+1]-starts[i]), starts[j]+r.Intn(starts[j+1]-starts[j]))
+	}
+	return b.Build()
+}
+
+// concentratedSpectrumGraphs are inputs whose upper bounds cluster in a
+// narrow band, so V[kmin] is most of V for every partition and ImproveLB
+// takes most h-degrees from the phase-1 counts instead of recounting.
+func concentratedSpectrumGraphs() []struct {
+	name string
+	g    *graph.Graph
+} {
+	return []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"road", gen.RoadGrid(20, 20, 0.1, 0.05, 3)},
+		{"caveman", cavemanGraph(8, 10, 16, 0.3, 5)},
+	}
+}
+
 // TestParallelHLBUBEquivalenceProperty is the parallel-vs-sequential
 // equivalence guarantee: for randomized graphs, every h in 1..3 and every
-// worker count, the concurrent interval solvers must produce core indices
-// bit-identical to the single-worker serial path (which itself is checked
-// against the independent verifier). Run under -race in CI, this also
-// exercises the solver-arena isolation: any shared mutable state between
-// two interval solvers shows up as a detected race.
+// worker count — and for the concentrated-spectrum inputs at h = 2 and 3 —
+// the concurrent interval solvers must produce core indices bit-identical
+// to the single-worker serial path (which itself is checked against the
+// independent verifier). Run under -race in CI, this also exercises the
+// solver-arena isolation: any shared mutable state between two interval
+// solvers shows up as a detected race.
 func TestParallelHLBUBEquivalenceProperty(t *testing.T) {
 	forceParallel(t)
 	check := func(seed int64) bool {
 		g := randGraph(seed, 60, 3)
 		for h := 1; h <= 3; h++ {
-			var want []int
-			for _, workers := range []int{1, 2, 8} {
-				res, err := Decompose(g, Options{H: h, Algorithm: HLBUB, Workers: workers})
-				if err != nil {
-					t.Logf("seed %d h=%d workers=%d: %v", seed, h, workers, err)
-					return false
-				}
-				if workers == 1 {
-					want = res.Core
-					if err := Validate(g, h, want); err != nil {
-						t.Logf("seed %d h=%d: sequential result invalid: %v", seed, h, err)
-						return false
-					}
-					continue
-				}
-				for v := range want {
-					if res.Core[v] != want[v] {
-						t.Logf("seed %d h=%d workers=%d: vertex %d: parallel core %d, sequential %d",
-							seed, h, workers, v, res.Core[v], want[v])
-						return false
-					}
-				}
+			if !hlbubAgreesAcrossWorkers(t, g, h, fmt.Sprintf("seed %d", seed)) {
+				return false
 			}
 		}
 		return true
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
+	}
+	for _, in := range concentratedSpectrumGraphs() {
+		for h := 2; h <= 3; h++ {
+			if !hlbubAgreesAcrossWorkers(t, in.g, h, in.name) {
+				t.Fatalf("%s h=%d: worker counts disagree", in.name, h)
+			}
+		}
+	}
+}
+
+// TestImproveLBReusesPhaseOneDegrees pins that the h-degree reuse engages
+// where it should: on the concentrated-spectrum inputs, most partition
+// members across the planned intervals have their whole h-ball inside
+// V[kmin] (ubMin ≥ kmin), so ImproveLB recounts only a minority.
+func TestImproveLBReusesPhaseOneDegrees(t *testing.T) {
+	for _, in := range concentratedSpectrumGraphs() {
+		for h := 2; h <= 3; h++ {
+			e := NewEngine(in.g, 1)
+			e.beginRun(Options{H: h}.withDefaults())
+			n := in.g.NumVertices()
+			e.degH = growInt32(e.degH, n)
+			e.pool.HDegrees(e.allVerts(), h, e.alive0(), e.degH)
+			lb2 := e.lb2Into(e.lb1Into())
+			ub := e.upperBoundsInto(e.degH)
+			e.planIntervals(ub, lb2, 1)
+			ubMin := e.ubMinInto(ub)
+			var members, reused int
+			for _, iv := range e.intervals {
+				for v := 0; v < n; v++ {
+					if int(ub[v]) < iv.kmin {
+						continue
+					}
+					members++
+					if int(ubMin[v]) >= iv.kmin {
+						reused++
+					}
+				}
+			}
+			e.Close()
+			t.Logf("%s h=%d: %d intervals, %d of %d ImproveLB sources reused", in.name, h, len(e.intervals), reused, members)
+			if 2*reused <= members {
+				t.Errorf("%s h=%d: only %d of %d ImproveLB sources reuse the phase-1 h-degree", in.name, h, reused, members)
+			}
+		}
 	}
 }
 

@@ -241,3 +241,56 @@ func TestPropertyIsolatedVerticesDoNotPerturb(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestUBMinMatchesBruteForce checks the ubMin propagation against its
+// definition: for arbitrary per-vertex values on small random graphs and
+// every h in 1..3, ubMin[v] must be the minimum value over the vertices
+// within distance h of v (v included), found here by a plain BFS per
+// vertex.
+func TestUBMinMatchesBruteForce(t *testing.T) {
+	check := func(seed int64) bool {
+		g := randGraph(seed, 40, 2)
+		n := g.NumVertices()
+		ub := make([]int32, n)
+		for v := range ub {
+			ub[v] = int32((seed>>(v%32))&15) + int32(v%7)
+		}
+		e := NewEngine(g, 1)
+		defer e.Close()
+		dist := make([]int, n)
+		for h := 1; h <= 3; h++ {
+			e.beginRun(Options{H: h}.withDefaults())
+			got := e.ubMinInto(ub)
+			for src := 0; src < n; src++ {
+				for i := range dist {
+					dist[i] = -1
+				}
+				dist[src] = 0
+				want := ub[src]
+				for queue := []int{src}; len(queue) > 0; queue = queue[1:] {
+					u := queue[0]
+					if ub[u] < want {
+						want = ub[u]
+					}
+					if dist[u] == h {
+						continue
+					}
+					for _, w := range g.Neighbors(u) {
+						if dist[w] < 0 {
+							dist[w] = dist[u] + 1
+							queue = append(queue, int(w))
+						}
+					}
+				}
+				if got[src] != want {
+					t.Logf("seed %d h=%d vertex %d: ubMin %d, brute force %d", seed, h, src, got[src], want)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 30}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -92,7 +92,7 @@ type partitionSolver struct {
 
 	// Scratch buffers, reused across runs.
 	part    []int32 // current partition's members (HLBUB)
-	cascade []int32 // ImproveLB eviction stack
+	cascade []int32 // ImproveLB recount list, then its eviction stack
 	dips    []int32 // ImproveLB eviction candidates awaiting re-verification
 	rebuf   []int32 // batched h-degree recomputations after a removal (HBZ)
 }
@@ -263,16 +263,16 @@ func (s *partitionSolver) seedQueue(kmin, kmax int, carryAssigned bool) {
 // refreshes LB3 from the shared LB2, cleans the partition with ImproveLB
 // and peels levels kmin-1..kmax, writing the core index of every vertex
 // the interval settles into the shared core array.
-func (s *partitionSolver) solveInterval(kmin, kmax int, ub, lb2 []int32) {
-	if !s.buildPartition(kmin, ub) {
+func (s *partitionSolver) solveInterval(kmin, kmax int, b runBounds) {
+	if !s.buildPartition(kmin, b.ub) {
 		return
 	}
 	for _, v := range s.part {
-		s.lb3[v] = lb2[v]
+		s.lb3[v] = b.lb2[v]
 	}
 	s.capped.Clear()
 	s.setLB.Clear()
-	s.improveLB(s.part, kmin, kmax)
+	s.improveLB(s.part, kmin, kmax, b)
 	s.seedQueue(kmin, kmax, false)
 	s.coreDecomp(kmin, kmax)
 }

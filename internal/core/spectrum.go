@@ -47,7 +47,9 @@ func DecomposeSpectrumCtx(ctx context.Context, g *graph.Graph, maxH int, opts Op
 	if g == nil {
 		return nil, fmt.Errorf("%w: DecomposeSpectrum", ErrNilGraph)
 	}
-	return NewEngine(g, opts.Workers).DecomposeSpectrumCtx(ctx, maxH, opts)
+	e := NewEngine(g, opts.Workers)
+	defer e.Close()
+	return e.DecomposeSpectrumCtx(ctx, maxH, opts)
 }
 
 // DecomposeSpectrum computes the (k,h)-core decomposition for every

@@ -1,7 +1,7 @@
 // Package faultinject is the deterministic fault-injection substrate of
 // the chaos suite: named sites threaded through the serving hot paths
-// (engine-pool checkout, h-BFS batch chunks, peel rounds, the Algorithm-5
-// re-bucket pass) that compile to a no-op in production builds and, under
+// (engine-pool checkout, h-BFS batch chunks, peel rounds, incremental
+// repair) that compile to a no-op in production builds and, under
 // the `faultinject` build tag, inject seeded panics, delays and
 // cancellations reproducibly.
 //
@@ -33,8 +33,7 @@ type Site string
 // concentrate: checkout of a pooled engine, the batch-chunk claim loop of
 // the h-BFS worker pool (runs on helper goroutines — a panic there must
 // resurface on the publisher), the per-level peel round of the bucket
-// decomposition, and the serial re-bucket pass of the level-synchronous
-// Algorithm-5 peel.
+// decomposition, and the closure and splice of an incremental repair.
 const (
 	// PoolAcquire fires at the top of EnginePool.Acquire, before an
 	// engine is checked out.
@@ -46,9 +45,6 @@ const (
 	// PeelRound fires once per bucket level of the core peeling loop
 	// (coreDecomp), on whichever solver goroutine runs the interval.
 	PeelRound Site = "core.peel.round"
-	// UBRebucket fires once per round of the parallel Algorithm-5 peel,
-	// just before the serial re-bucket of the round's touched vertices.
-	UBRebucket Site = "core.ub.rebucket"
 	// IncrRegion fires once per expanded vertex in the incremental
 	// maintainer's dirty-region closure (incr.Finder.CloseRegionCtx).
 	IncrRegion Site = "incr.region.expand"
@@ -66,7 +62,6 @@ var registry = []Site{
 	PoolAcquire,
 	BatchChunk,
 	PeelRound,
-	UBRebucket,
 	IncrRegion,
 	IncrSplice,
 }

@@ -96,14 +96,14 @@ func TestDelayAndCancelAndSiteFilter(t *testing.T) {
 		Seed:       7,
 		CancelRate: 1,
 		OnCancel:   func() { canceled.Add(1) },
-		Sites:      []Site{UBRebucket},
+		Sites:      []Site{IncrSplice},
 	})
 	defer Disable()
 	Here(PoolAcquire) // filtered out: must not cancel
 	if canceled.Load() != 0 {
 		t.Fatal("filtered site fired")
 	}
-	Here(UBRebucket)
+	Here(IncrSplice)
 	if canceled.Load() != 1 {
 		t.Fatal("armed cancel site did not invoke the hook")
 	}

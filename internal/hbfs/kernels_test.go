@@ -260,9 +260,7 @@ func TestPoolCappedMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestPoolBallsMatchesSequential checks the Balls batch kernel — the
-// fan-out behind the level-synchronous parallel Algorithm-5 peel —
-// against per-vertex sequential Ball calls: identical members, order and
+// TestPoolBallsMatchesSequential checks the Balls batch kernel against per-vertex sequential Ball calls: identical members, order and
 // shell split (Ball is deterministic given the source, so worker identity
 // must not leak into results), with and without an alive mask, through
 // both the inline small-batch path and the forced helper fan-out.

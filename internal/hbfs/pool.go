@@ -311,14 +311,12 @@ func (s *poolShared) run(t *Traversal) {
 // accumulators indexed by the worker argument.
 type BallFunc func(worker int, v int32, ball []int32, shellStart int)
 
-// Balls is the batch h-ball kernel behind the level-synchronous parallel
-// Algorithm-5 peel: it computes Ball(v, h, alive) for every vertex in
-// verts, dynamically distributed over the pool's workers via the atomic
-// cursor, and hands each result to fn on the worker that produced it.
-// Small batches (under the pool's batchMin) run inline on worker 0, so
-// the frequent tiny frontiers of a bucket peel never pay a helper
-// wake-up. The owner's cancellation probe is polled between chunks, like
-// the h-degree kernels.
+// Balls is the batch h-ball kernel: it computes Ball(v, h, alive) for
+// every vertex in verts, dynamically distributed over the pool's workers
+// via the atomic cursor, and hands each result to fn on the worker that
+// produced it. Small batches (under the pool's batchMin) run inline on
+// worker 0, so tiny batches never pay a helper wake-up. The owner's
+// cancellation probe is polled between chunks, like the h-degree kernels.
 func (p *Pool) Balls(verts []int32, h int, alive *vset.Set, fn BallFunc) {
 	if len(verts) == 0 || fn == nil {
 		return
