@@ -44,10 +44,10 @@ test: build
 race:
 	go test -race ./internal/... .
 
-# race-parallel is the CI smoke of the concurrent h-LB+UB path: the
-# parallel-vs-sequential equivalence property, engine reuse, the
-# EnginePool concurrent-load tests and the mid-peel cancellation property
-# under the race detector.
+# race-parallel is the CI smoke of the concurrent h-LB+UB interval queue:
+# the solver-count equivalence property, the single-CPU counter identity,
+# engine reuse, the EnginePool concurrent-load tests and the mid-peel
+# cancellation property under the race detector.
 race-parallel:
 	go test -race -run 'TestParallel|TestEngine|TestCancel' ./internal/core/ .
 

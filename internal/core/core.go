@@ -10,8 +10,9 @@
 // vertex sets, h-degree and bound arrays, bucket queue, traversal scratch)
 // lives in per-worker partitionSolver arenas owned by the Engine: solver 0
 // serves the sequential algorithms, and the h-LB+UB partitions — which are
-// independent by construction (Observation 3) — are resolved concurrently
-// by one solver per pool worker when the engine has more than one.
+// independent by construction (Observation 3) — are drained from one work
+// queue by min(pool workers, GOMAXPROCS, partitions) solvers, so a
+// single-worker engine or a single schedulable CPU runs exactly one.
 // Repeated decompositions through one Engine allocate nothing in the
 // steady state; the package-level Decompose is a thin wrapper that builds
 // a throwaway Engine for one-shot callers.
@@ -87,13 +88,14 @@ const (
 	HDegreeUB
 )
 
-// defaultLazyCapSlack is the default headroom the lazy re-computation in
+// defaultLazyCapSlack is the headroom the lazy re-computation in
 // coreDecomp adds above the frontier before truncating an h-degree count:
 // a vertex popped at level k is counted up to k+1+slack. Zero maximizes
 // laziness but re-pops a capped vertex at every level; a little slack lets
 // vertices whose h-degree sits just above the frontier come out exact, so
 // they ride the O(1) decrement path instead of paying another truncated
-// BFS. Tunable per run via Options.LazyCapSlack.
+// BFS. h-BZ, h-LB and localized repair use it as is; h-LB+UB replaces it
+// with a value derived from the upper-bound histogram (adaptiveSlack).
 const defaultLazyCapSlack = 16
 
 // Options configures Decompose.
@@ -107,10 +109,10 @@ type Options struct {
 	// paper's ablations and is ~45× slower than HLBUB, so selecting it
 	// without this flag is an error rather than a silent performance cliff.
 	AllowBaseline bool
-	// Workers sizes the h-BFS worker pool AND the number of concurrent
-	// h-LB+UB partition solvers; ≤ 0 selects NumCPU. An Engine fixes its
-	// pool size at construction, so this field only matters for the
-	// one-shot Decompose wrapper.
+	// Workers sizes the h-BFS worker pool; ≤ 0 selects NumCPU. The h-LB+UB
+	// partitions are peeled by min(Workers, GOMAXPROCS, partitions)
+	// concurrent solvers. An Engine fixes its pool size at construction,
+	// so this field only matters for the one-shot Decompose wrapper.
 	Workers int
 	// PartitionSize is the S parameter of Algorithm 4: how many distinct
 	// upper-bound values each top-down partition spans. Each partition
@@ -119,21 +121,6 @@ type Options struct {
 	// the estimated work per partition from the upper-bound histogram
 	// (which is what makes the parallel partition peeling load-balance).
 	PartitionSize int
-	// LazyCapSlack is the headroom above the peeling frontier before a
-	// lazy h-degree count truncates (see defaultLazyCapSlack). 0 selects
-	// an adaptive value: HLBUB derives it from the upper-bound histogram
-	// (mean vertices per distinct UB value, clamped to [4, 64]) once
-	// Algorithm 5 has run, and the other algorithms — which have no UB
-	// histogram — use the fixed default (16). A positive value forces
-	// exactly that slack everywhere; a negative value selects zero slack.
-	LazyCapSlack int
-	// BatchMin is the batch size below which the h-BFS pool runs a batch
-	// on the publishing worker instead of waking the helpers; ≤ 0 selects
-	// the default (hbfs.DefaultBatchMin).
-	BatchMin int
-	// BatchChunk is the number of vertices a pool worker claims per atomic
-	// cursor bump; ≤ 0 selects the default (hbfs.DefaultBatchChunk).
-	BatchChunk int
 	// LowerBound and UpperBound select ablation variants (Table 5).
 	LowerBound LowerBoundKind
 	UpperBound UpperBoundKind
@@ -154,20 +141,6 @@ func (o Options) withDefaults() Options {
 	}
 	o.Approx = o.Approx.withDefaults()
 	return o
-}
-
-// slackValue resolves the LazyCapSlack encoding (0 = default, < 0 = none).
-// HLBUB later refines the default adaptively in planIntervals, where the
-// upper-bound histogram is in hand; see adaptiveSlack.
-func (o Options) slackValue() int {
-	switch {
-	case o.LazyCapSlack == 0:
-		return defaultLazyCapSlack
-	case o.LazyCapSlack < 0:
-		return 0
-	default:
-		return o.LazyCapSlack
-	}
 }
 
 // Stats records the work performed by a decomposition, mirroring the
@@ -326,17 +299,17 @@ type runBounds struct {
 
 // Engine is a long-lived decomposition context bound to one graph. It owns
 // the h-BFS worker pool, the shared bound arrays, and one partitionSolver
-// arena per pool worker — solver 0 doubles as the sequential scratch — and
-// reuses all of it across runs, so repeated Decompose calls reach a
-// zero steady-state allocation rate through DecomposeInto, including on
-// the parallel h-LB+UB path. An Engine is NOT safe for concurrent use;
-// create one per goroutine.
+// arena per concurrent h-LB+UB solver — solver 0 doubles as the scratch of
+// the sequential algorithms — and reuses all of it across runs, so
+// repeated Decompose calls reach a zero steady-state allocation rate
+// through DecomposeInto, including on the h-LB+UB interval queue. An
+// Engine is NOT safe for concurrent use; create one per goroutine.
 type Engine struct {
 	g    *graph.Graph
 	pool *hbfs.Pool
 	// sv holds the per-worker solver arenas. sv[0] always exists and
 	// serves the sequential algorithms; the rest are created on the first
-	// parallel h-LB+UB run and then persist.
+	// h-LB+UB run with more than one solver and then persist.
 	sv []*partitionSolver
 
 	core []int32
@@ -353,14 +326,14 @@ type Engine struct {
 	ubcnt     []int32 // upper-bound histogram (vertices per distinct value)
 	intervals []interval
 
-	// Parallel interval dispatch: parJob is bound once at construction
-	// (keeping repeat runs allocation-free) and reads the fields below,
-	// which are set for the duration of one Pool.Run fan-out.
+	// Interval dispatch: parJob is bound once at construction (keeping
+	// repeat runs allocation-free) and reads the fields below, which are
+	// set for the duration of one Pool.Run fan-out.
 	parJob func(worker int, t *hbfs.Traversal)
 	par    runBounds
 	// parSolvers is the bound fleet size for the current fan-out:
-	// min(pool workers, interval count) — arenas beyond it are never
-	// created and workers beyond it no-op.
+	// min(pool workers, GOMAXPROCS, interval count) — arenas beyond it are
+	// never created and workers beyond it no-op.
 	parSolvers int
 	cursor     atomic.Int64
 
@@ -372,12 +345,12 @@ type Engine struct {
 	// pre-edit core indices, snapshot by repairRegionCtx (see repair.go).
 	incrOld []int32
 
-	// bcast is the lock-free settled-vertex broadcast for the parallel
-	// interval path: bcast[v] holds core(v)+1 once some interval solver
+	// bcast is the lock-free settled-vertex broadcast of the h-LB+UB
+	// interval queue: bcast[v] holds core(v)+1 once some interval solver
 	// has settled v (0 = not yet published). Lower intervals read it as a
 	// monotone hint to convert already-settled vertices straight into
 	// carriers instead of re-peeling them; correctness never depends on a
-	// read observing a publish. nil outside a parallel HLBUB fan-out.
+	// read observing a publish.
 	bcast []int32
 
 	// Per-run state.
@@ -402,19 +375,18 @@ type Engine struct {
 }
 
 // NewEngine returns an Engine bound to g with a worker pool of the given
-// size (≤ 0 selects NumCPU). The pool size also caps the number of
-// concurrent h-LB+UB partition solvers.
+// size (≤ 0 selects NumCPU). The pool size, together with GOMAXPROCS, caps
+// the number of concurrent h-LB+UB partition solvers.
 func NewEngine(g *graph.Graph, workers int) *Engine {
 	e := &Engine{
 		pool: hbfs.NewPool(g, workers),
 		sv:   []*partitionSolver{newPartitionSolver()},
 	}
-	e.parJob = func(worker int, t *hbfs.Traversal) {
+	e.parJob = func(worker int, _ *hbfs.Traversal) {
 		if worker >= e.parSolvers {
-			return // more pool workers than intervals: nothing to claim
+			return // more pool workers than solvers: nothing to claim
 		}
-		s := e.sv[worker]
-		s.t = t
+		s := e.sv[worker] // bound to this worker's traversal by runIntervals
 		n := len(e.intervals)
 		for {
 			if e.cancel.stop() {
@@ -583,17 +555,15 @@ func (e *Engine) DecomposeIntoCtx(ctx context.Context, res *Result, opts Options
 }
 
 // beginRun resets the per-run state: the sequential solver arena with a
-// full alive set, zeroed core indices and counters, and the run's pool
-// tuning.
+// full alive set, zeroed core indices and counters.
 func (e *Engine) beginRun(opts Options) {
 	e.h = opts.H
 	e.opts = opts
-	e.slack = opts.slackValue()
+	e.slack = defaultLazyCapSlack
 	e.stats = Stats{}
-	e.pool.SetTuning(opts.BatchMin, opts.BatchChunk)
 	e.pool.ResetVisits()
 	s0 := e.sv[0]
-	s0.bind(e.g, e.core, e.h, e.slack, e.pool, &e.cancel)
+	s0.bind(e.g, e.core, e.h, e.slack, e.trav(), &e.cancel)
 	s0.stats = Stats{}
 	s0.alive.Fill()
 	for i := range e.core {

@@ -8,7 +8,7 @@ package core
 // recomputations fanned out over the engine's worker pool.
 //
 //khcore:peel
-//khcore:vset-caller-epoch assigned alive
+//khcore:vset-caller-epoch alive
 func (e *Engine) runHBZ() {
 	n := e.g.NumVertices()
 	if n == 0 {
@@ -38,7 +38,6 @@ func (e *Engine) runHBZ() {
 			k = kv
 		}
 		e.core[v] = int32(k)
-		s.assigned.Add(v)
 
 		// Collect N_{G[V]}(v, h) before deleting v, then delete. The ball
 		// aliases the traversal scratch; it is consumed into rebuf before

@@ -6,12 +6,6 @@ import (
 	"time"
 )
 
-// forceParallelIntervals is a test hook: the concurrent interval path is
-// normally gated on GOMAXPROCS > 1 (below), which would leave it untested
-// on single-core CI shards; package tests flip this to exercise the real
-// fan-out regardless.
-var forceParallelIntervals = false
-
 // runHLBUB implements Algorithm 4 (h-LB+UB): compute lower bounds (LB2)
 // and the power-graph upper bound (Algorithm 5), partition the range of
 // core-index values into top-down intervals, and resolve the intervals.
@@ -20,16 +14,16 @@ var forceParallelIntervals = false
 // (Algorithm 6) has raised the lower bounds and evicted vertices that
 // cannot reach h-degree kmin.
 //
-// The independence of the intervals is what the parallel path exploits:
-// with more than one pool worker, the planned intervals become a work
-// queue drained by one partitionSolver per worker, each on its own arena
-// over the shared read-only graph and bound arrays, and every interval
-// writes the core indices it settles directly into the shared output —
-// positions are disjoint because each vertex's core index falls in exactly
-// one interval, so the merged result is deterministic (and bit-identical
-// to the sequential path's, which remains in use for single-worker
-// engines: it carries settled vertices and LB3 raises across intervals,
-// an optimization only a serial schedule can exploit).
+// The independence of the intervals makes them one work queue, drained
+// top-down by min(pool workers, GOMAXPROCS, intervals) partitionSolvers,
+// each on its own arena over the shared read-only graph and bound arrays.
+// Every interval writes the core indices it settles directly into the
+// shared output — positions are disjoint because each vertex's core index
+// falls in exactly one interval — so the merged result is deterministic
+// and identical at every solver count. Settles are published on a
+// broadcast that lower intervals consult; a lone solver, which claims the
+// intervals in order, therefore sees every higher interval's settles
+// before it starts the next one.
 func (e *Engine) runHLBUB() {
 	n := e.g.NumVertices()
 	if n == 0 {
@@ -68,29 +62,18 @@ func (e *Engine) runHLBUB() {
 		}
 	}
 
-	// The concurrent path trades the serial carry savings for parallelism,
-	// so it must only run where parallelism can materialize: with one
-	// schedulable CPU the measured cost is a 20–45% end-to-end regression
-	// (BENCH_parallel.json notes) for zero gain, so a multi-worker engine
-	// on a GOMAXPROCS=1 host falls back to the serial carry path. The
-	// effective solver count also drives the adaptive partition budget —
-	// a serial run must not pay a worker-scaled partition count.
-	solvers := 1
-	if e.pool.Workers() > 1 && (runtime.GOMAXPROCS(0) > 1 || forceParallelIntervals) {
-		solvers = e.pool.Workers()
-	}
+	// More solvers than schedulable CPUs would only time-slice, and each
+	// extra solver forfeits some of the broadcast's settles, so a single
+	// CPU runs exactly the one-solver schedule. The effective solver count
+	// also drives the adaptive partition budget.
+	solvers := min(e.pool.Workers(), runtime.GOMAXPROCS(0))
 
 	// Lines 8–11: distinct UB values ∪ {min LB2 − 1} descending, split
 	// into covering top-down intervals.
 	e.planIntervals(ub, lb2, solvers)
 
 	t0 = time.Now()
-	b := runBounds{ub: ub, lb2: lb2, degH: e.degH, ubMin: e.ubMinInto(ub)}
-	if solvers > 1 && len(e.intervals) > 1 {
-		e.runIntervalsParallel(b)
-	} else {
-		e.runIntervalsSequential(b)
-	}
+	e.runIntervals(runBounds{ub: ub, lb2: lb2, degH: e.degH, ubMin: e.ubMinInto(ub)}, solvers)
 	e.stats.PhaseIntervals = time.Since(t0)
 }
 
@@ -121,19 +104,13 @@ func (e *Engine) planIntervals(ub, lb2 []int32, solvers int) {
 	slices.Reverse(vals)
 	e.ubvals = vals
 
-	// With the UB distribution finally in hand, resolve LazyCapSlack = 0
-	// ("adaptive") against it: the mean number of vertices per distinct UB
-	// value estimates how many re-pops a capped vertex survives per level,
-	// so dense spectra (many vertices per value — the slack pays for
-	// itself quickly) get more headroom than sparse ones. The sequential
-	// solver was bound in beginRun with the provisional default, so its
-	// slack is re-pointed here; the parallel solvers bind later and pick
-	// up e.slack naturally. An explicit Options.LazyCapSlack (> 0 forced,
-	// < 0 zero) is left alone.
-	if e.opts.LazyCapSlack == 0 {
-		e.slack = adaptiveSlack(len(ub), len(vals)-1)
-		e.sv[0].slack = e.slack
-	}
+	// With the UB distribution finally in hand, derive the lazy-recount
+	// slack from it: the mean number of vertices per distinct UB value
+	// estimates how many re-pops a capped vertex survives per level, so
+	// dense spectra (many vertices per value — the slack pays for itself
+	// quickly) get more headroom than sparse ones. The interval solvers
+	// are bound after planning and pick up e.slack.
+	e.slack = adaptiveSlack(len(ub), len(vals)-1)
 
 	e.intervals = e.intervals[:0]
 	if step := e.opts.PartitionSize; step > 0 {
@@ -223,66 +200,23 @@ func adaptiveSlack(n, distinct int) int {
 	return s
 }
 
-// runIntervalsSequential resolves the planned intervals top-down inside
-// the sequential solver arena, carrying state across intervals the way
-// the paper's serial Algorithm 4 does: vertices settled by a higher
-// interval stay in lower intervals as distance carriers (seeded above the
-// frontier from their final core index) but are never re-processed, and
-// LB3 raises persist — the key savings over h-LB that only a serial
-// schedule can exploit.
+// runIntervals drains the planned intervals through min(solvers,
+// intervals) partitionSolvers (Pool.Run hands each worker its index; the
+// engine's parJob closure claims intervals off an atomic cursor, top-down
+// — see parJob for why). Solvers share only read-only state — the CSR
+// graph and the run's bound arrays — plus the output core array, whose
+// written positions are disjoint across intervals, and the settled-vertex
+// broadcast; everything else mutable lives in the per-worker arenas, so
+// the fan-out is race-free and the merged result deterministic.
 //
 //khcore:peel
-func (e *Engine) runIntervalsSequential(b runBounds) {
-	s := e.sv[0]
-	copy(s.lb3, b.lb2)
-
-	for _, iv := range e.intervals {
-		if e.cancel.stop() {
-			return // canceled between intervals
-		}
-		kmin, kmax := iv.kmin, iv.kmax
-		s.stats.Partitions++
-
-		// Line 12: V[kmin] = {v : UB(v) ≥ kmin} becomes the alive set.
-		if !s.buildPartition(kmin, b.ub) {
-			continue
-		}
-
-		// Lines 13–14: ImproveLB cleans the partition and raises LB3;
-		// s.dirty marks survivors whose h-degree the cleaning touched, and
-		// s.capped (cleared here — marks from the previous partition are
-		// stale) the survivors whose h-degree count was truncated.
-		s.capped.Clear()
-		s.improveLB(s.part, kmin, kmax, b)
-
-		// Lines 15–18: seed the bucket queue — with the settled-vertex
-		// carry, so vertices assigned by a higher interval are never
-		// re-processed — and resolve core indices in [kmin, kmax].
-		s.seedQueue(kmin, kmax, true)
-		s.coreDecomp(kmin, kmax)
-	}
-}
-
-// runIntervalsParallel drains the planned intervals through one
-// partitionSolver per pool worker (Pool.Run hands each worker its index
-// and traversal; the engine's parJob closure claims intervals off an
-// atomic cursor, top-down — see parJob for why). Solvers share only
-// read-only state — the CSR graph and the run's bound arrays — plus the
-// output core array, whose written positions are disjoint across
-// intervals; everything mutable lives in the per-worker arenas, so the
-// fan-out is race-free and the merged result deterministic.
-//
-//khcore:peel
-func (e *Engine) runIntervalsParallel(b runBounds) {
+func (e *Engine) runIntervals(b runBounds, solvers int) {
 	// An arena can only do work while an interval remains unclaimed, so
 	// the fleet is capped at the interval count: each arena pre-sizes
 	// O(n) scratch, and a 64-worker engine peeling a 32-interval plan
 	// must not pay for 32 arenas that can never claim anything. Workers
 	// beyond the cap return from parJob immediately.
-	w := e.pool.Workers()
-	if w > len(e.intervals) {
-		w = len(e.intervals)
-	}
+	w := min(solvers, len(e.intervals))
 	e.parSolvers = w
 	for len(e.sv) < w {
 		e.sv = append(e.sv, newPartitionSolver())
@@ -290,27 +224,23 @@ func (e *Engine) runIntervalsParallel(b runBounds) {
 	// Arm the settled-vertex broadcast: one atomic slot per vertex,
 	// zeroed (= unpublished) each run. Solvers publish core(v)+1 when
 	// they settle v and consult the array before re-peeling a vertex a
-	// higher interval already resolved — the lock-free analogue of the
-	// sequential carry. Publishes only ever move a slot 0 → final value,
-	// so any read is either the exact settled index or a harmless miss.
+	// higher interval already resolved. Publishes only ever move a slot
+	// 0 → final value, so any read is either the exact settled index or
+	// a harmless miss.
 	e.bcast = growInt32(e.bcast, e.g.NumVertices())
 	for i := range e.bcast { //khcore:atomic-ok epoch reset before the interval fan-out starts
 		e.bcast[i] = 0
 	}
-	for _, s := range e.sv[:w] {
-		// nil pool: inside a Run job the batch kernels are off-limits
-		// (worker 0 would deadlock); inter-interval concurrency replaces
-		// intra-batch concurrency here.
-		s.bind(e.g, e.core, e.h, e.slack, nil, &e.cancel)
+	for i, s := range e.sv[:w] {
+		// Solver i runs on pool worker i's traversal, the one Pool.Run
+		// hands that worker; inside a Run job the pool's batch kernels
+		// are off-limits (worker 0 would deadlock), so every count a
+		// solver makes goes through its own traversal.
+		s.bind(e.g, e.core, e.h, e.slack, e.pool.Traversal(i), &e.cancel)
 		s.bcast = e.bcast
 	}
 	e.par = b
 	e.cursor.Store(0)
 	e.pool.Run(e.parJob)
 	e.par = runBounds{}
-	for _, s := range e.sv[:w] {
-		// Detach: solver 0 doubles as the sequential arena, which must
-		// never consult a stale broadcast on a later serial run.
-		s.bcast = nil
-	}
 }

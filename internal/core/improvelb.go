@@ -45,10 +45,9 @@ func (s *partitionSolver) improveLB(part []int32, kmin, kmax int, b runBounds) {
 	}
 	// Step 1: h-degrees inside G[V[kmin]], truncated above the partition's
 	// top level: the phase-1 count where the h-ball lies inside V[kmin],
-	// a count-only sweep of the rest (parallel over the pool for the
-	// sequential solver, single-traversal inside a concurrent interval
-	// job). The recount list borrows the cascade stack, which step 3 only
-	// needs afterwards.
+	// a count-only sweep of the rest on the solver's traversal. The
+	// recount list borrows the cascade stack, which step 3 only needs
+	// afterwards.
 	capd := kmax + 1 + s.slack
 	recount := s.cascade[:0]
 	for _, v := range part {
@@ -87,9 +86,10 @@ func (s *partitionSolver) improveLB(part []int32, kmin, kmax int, b runBounds) {
 	// Step 3: cascade-clean vertices that cannot reach h-degree kmin.
 	// Exact decrement-only updates give an upper bound on the true
 	// h-degree, so dropping below kmin is a sound eviction test; capped
-	// entries are re-verified first. Assigned vertices (core ≥ previous
-	// kmin > current kmax) can never be evicted: their h-degree inside the
-	// partition is at least min(core index, cap) ≥ kmin.
+	// entries are re-verified first. Vertices whose core index lies in a
+	// higher interval (core ≥ that interval's kmin > current kmax) can
+	// never be evicted: their h-degree inside the partition is at least
+	// min(core index, cap) ≥ kmin.
 	t := s.t
 	s.inQueue.Clear()
 	cascade := s.cascade[:0]

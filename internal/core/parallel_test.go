@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -10,15 +11,17 @@ import (
 	"repro/internal/graph"
 )
 
-// forceParallel makes the interval fan-out run regardless of the host's
-// GOMAXPROCS gate, so these tests exercise the real machinery (including
-// the settled-vertex broadcast) even on a single-core machine, where the
-// engine would otherwise — correctly — fall back to the serial path.
+// forceParallel raises GOMAXPROCS to at least 2 for the rest of the test,
+// so a multi-worker engine drains its intervals with more than one solver
+// — and the settled-vertex broadcast sees concurrent publishes — even on
+// a single-core machine, where the engine would otherwise run one solver.
+// GOMAXPROCS is process-wide, so callers must not call t.Parallel.
 func forceParallel(t *testing.T) {
 	t.Helper()
-	old := forceParallelIntervals
-	forceParallelIntervals = true
-	t.Cleanup(func() { forceParallelIntervals = old })
+	if old := runtime.GOMAXPROCS(0); old < 2 {
+		runtime.GOMAXPROCS(2)
+		t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+	}
 }
 
 // TestParallelUpperBoundBitIdentical pins that the Algorithm-5 bounds do
@@ -127,11 +130,11 @@ func concentratedSpectrumGraphs() []struct {
 	}
 }
 
-// TestParallelHLBUBEquivalenceProperty is the parallel-vs-sequential
-// equivalence guarantee: for randomized graphs, every h in 1..3 and every
-// worker count — and for the concentrated-spectrum inputs at h = 2 and 3 —
-// the concurrent interval solvers must produce core indices bit-identical
-// to the single-worker serial path (which itself is checked against the
+// TestParallelHLBUBEquivalenceProperty is the solver-count equivalence
+// guarantee: for randomized graphs, every h in 1..3 and every worker count
+// — and for the concentrated-spectrum inputs at h = 2 and 3 — the
+// concurrent interval solvers must produce core indices bit-identical to
+// a single-worker engine's (which itself is checked against the
 // independent verifier). Run under -race in CI, this also exercises the
 // solver-arena isolation: any shared mutable state between two interval
 // solvers shows up as a detected race.
@@ -153,6 +156,40 @@ func TestParallelHLBUBEquivalenceProperty(t *testing.T) {
 		for h := 2; h <= 3; h++ {
 			if !hlbubAgreesAcrossWorkers(t, in.g, h, in.name) {
 				t.Fatalf("%s h=%d: worker counts disagree", in.name, h)
+			}
+		}
+	}
+}
+
+// TestParallelSingleCPUMatchesOneWorker pins the solver-count selection:
+// with one schedulable CPU a 2-worker engine must run exactly the
+// one-solver schedule, so its work counters — not just its core indices —
+// equal a 1-worker engine's on the concentrated-spectrum inputs.
+func TestParallelSingleCPUMatchesOneWorker(t *testing.T) {
+	old := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+	for _, in := range concentratedSpectrumGraphs() {
+		for h := 2; h <= 3; h++ {
+			var stats [2]Stats
+			for i, workers := range []int{1, 2} {
+				e := NewEngine(in.g, workers)
+				res, err := e.Decompose(Options{H: h})
+				e.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if e.parSolvers != 1 {
+					t.Errorf("%s h=%d workers=%d: %d interval solvers under GOMAXPROCS=1, want 1",
+						in.name, h, workers, e.parSolvers)
+				}
+				stats[i] = res.Stats
+			}
+			one, two := stats[0], stats[1]
+			if one.Visits != two.Visits || one.HDegreeComputations != two.HDegreeComputations ||
+				one.Decrements != two.Decrements || one.Partitions != two.Partitions {
+				t.Errorf("%s h=%d: 2 workers under GOMAXPROCS=1 did visits/hdeg/decrements/partitions %d/%d/%d/%d, 1 worker %d/%d/%d/%d",
+					in.name, h, two.Visits, two.HDegreeComputations, two.Decrements, two.Partitions,
+					one.Visits, one.HDegreeComputations, one.Decrements, one.Partitions)
 			}
 		}
 	}

@@ -13,50 +13,41 @@ import (
 // mutable state one h-LB+UB interval (or one whole h-BZ / h-LB run) needs
 // — the alive/settled/lazy-bound vertex sets, the h-degree and LB3 arrays,
 // the bucket queue, the traversal scratch and the work counters. An Engine
-// owns one solver per worker: solver 0 doubles as the sequential arena for
-// h-BZ, h-LB and the single-worker h-LB+UB path, while the parallel
-// h-LB+UB path hands each pool worker its own solver so concurrent
-// intervals never share mutable state. The only cross-solver writes are
-// the final core indices, which land in the shared core array at disjoint
-// positions (each vertex's core index falls in exactly one interval).
+// owns one solver per concurrently peeled h-LB+UB interval, each running
+// on its own pool worker so concurrent intervals never share mutable
+// state; solver 0 also serves h-BZ, h-LB and localized repair. The only cross-solver writes are the final
+// core indices, which land in the shared core array at disjoint positions
+// (each vertex's core index falls in exactly one interval), and the
+// settled-vertex broadcast.
 type partitionSolver struct {
 	g *graph.Graph
-	// t is the solver's h-BFS traversal. The sequential solver borrows the
-	// pool's worker-0 traversal; parallel solvers are handed the traversal
-	// of the pool worker running them (see Pool.Run), so visit counts
-	// always aggregate into the pool.
+	// t is the solver's h-BFS traversal: the traversal of the pool worker
+	// running it (worker 0's for the sequential algorithms), so visit
+	// counts always aggregate into the pool.
 	t *hbfs.Traversal
-	// pool, when non-nil, parallelizes the solver's batch h-degree sweeps.
-	// Only the sequential solver sets it: a parallel solver runs inside a
-	// Pool.Run job, where invoking the pool's batch kernels would deadlock
-	// worker 0 — inter-interval concurrency replaces intra-batch
-	// concurrency there.
-	pool *hbfs.Pool
 	// core is the engine's shared output array. Solvers write disjoint
 	// entries: a vertex is settled by the one interval containing its core
 	// index.
 	core  []int32
 	h     int
-	slack int // lazy-recount headroom (Options.LazyCapSlack)
+	slack int // lazy-recount headroom (defaultLazyCapSlack, adaptiveSlack)
 	stats Stats
 	// cancel is the engine's per-run cancellation broadcast; the peeling
 	// and cleaning loops poll it, amortized by cancelCheckMask.
 	cancel *cancelState
 	// bcast, when non-nil, is the engine's lock-free settled-vertex
-	// broadcast (parallel h-LB+UB only): bcast[v] = core(v)+1 once any
+	// broadcast (h-LB+UB intervals only): bcast[v] = core(v)+1 once any
 	// solver settles v, 0 while unpublished. Solvers publish their own
-	// settles and read other intervals' to convert already-settled
-	// vertices straight into carriers — the concurrent analogue of the
-	// sequential carry. Reads are monotone hints: a slot moves 0 → final
-	// value exactly once, so a load returns either the true settled index
-	// or a miss that merely forfeits the shortcut. nil outside a parallel
-	// fan-out (bind clears it; runIntervalsParallel re-attaches it).
+	// settles and read higher intervals' to convert already-settled
+	// vertices straight into carriers. Reads are monotone hints: a slot
+	// moves 0 → final value exactly once, so a load returns either the
+	// true settled index or a miss that merely forfeits the shortcut. nil
+	// outside an interval fan-out (bind clears it; runIntervals
+	// re-attaches it).
 	bcast []int32
 
 	// alive marks vertices present in the current (sub)graph.
 	alive *vset.Set
-	// assigned marks vertices whose core index is final.
-	assigned *vset.Set
 	// setLB mirrors the paper's flag: membership means only a lower bound
 	// for the vertex is known (or the vertex is settled) and its h-degree
 	// must not be touched by neighbor updates.
@@ -83,10 +74,9 @@ type partitionSolver struct {
 	// deg is the current h-degree of a vertex w.r.t. the alive set; it is
 	// meaningful only while the vertex is outside setLB.
 	deg []int32
-	// lb3 is the per-vertex LB3 lower bound (Property 3). The sequential
-	// h-LB+UB path seeds it from LB2 once per run and carries raises across
-	// intervals; parallel solvers refresh their partition's entries from
-	// the shared LB2 at every interval.
+	// lb3 is the per-vertex LB3 lower bound (Property 3). Interval solvers
+	// refresh their partition's entries from the shared LB2 at every
+	// interval.
 	lb3 []int32
 	q   *bucketQueue
 
@@ -99,34 +89,28 @@ type partitionSolver struct {
 
 func newPartitionSolver() *partitionSolver {
 	return &partitionSolver{
-		alive:    vset.New(0),
-		assigned: vset.New(0),
-		setLB:    vset.New(0),
-		dirty:    vset.New(0),
-		inQueue:  vset.New(0),
-		capped:   vset.New(0),
-		pinned:   vset.New(0),
+		alive:   vset.New(0),
+		setLB:   vset.New(0),
+		dirty:   vset.New(0),
+		inQueue: vset.New(0),
+		capped:  vset.New(0),
+		pinned:  vset.New(0),
 	}
 }
 
-// bind (re)attaches the solver to a graph and run configuration, clearing
-// every set and sizing every array, reusing capacity whenever it suffices.
-// pool is non-nil only for the sequential solver (see the field comment);
-// when it is set the solver also borrows the pool's worker-0 traversal.
-func (s *partitionSolver) bind(g *graph.Graph, core []int32, h, slack int, pool *hbfs.Pool, cancel *cancelState) {
+// bind (re)attaches the solver to a graph, a pool worker's traversal and
+// a run configuration, clearing every set and sizing every array, reusing
+// capacity whenever it suffices.
+func (s *partitionSolver) bind(g *graph.Graph, core []int32, h, slack int, t *hbfs.Traversal, cancel *cancelState) {
 	n := g.NumVertices()
 	s.g = g
 	s.core = core
 	s.h = h
 	s.slack = slack
-	s.pool = pool
+	s.t = t
 	s.cancel = cancel
-	s.bcast = nil // re-attached per fan-out by runIntervalsParallel
-	if pool != nil {
-		s.t = pool.Traversal(0)
-	}
+	s.bcast = nil // re-attached per fan-out by runIntervals
 	s.alive.Resize(n)
-	s.assigned.Resize(n)
 	s.setLB.Resize(n)
 	s.dirty.Resize(n)
 	s.inQueue.Resize(n)
@@ -150,15 +134,11 @@ func (s *partitionSolver) bind(g *graph.Graph, core []int32, h, slack int, pool 
 }
 
 // hdegCappedBatch fills s.deg with min(deg^h, cap) for every vertex in
-// verts — through the pool's parallel batch kernel for the sequential
-// solver, or the solver's own traversal inside a parallel job — and
-// returns the number of live sources evaluated.
+// verts on the solver's own traversal and returns the number of live
+// sources evaluated.
 //
 //khcore:hotpath
 func (s *partitionSolver) hdegCappedBatch(verts []int32, cap int) int64 {
-	if s.pool != nil {
-		return s.pool.HDegreesCapped(verts, s.h, s.alive, cap, s.deg)
-	}
 	var evaluated int64
 	for i, v := range verts {
 		if i&cancelCheckMask == 0 && s.cancel.stop() {
@@ -192,10 +172,9 @@ func (s *partitionSolver) buildPartition(kmin int, ub []int32) bool {
 // 15–17), after improveLB has cleaned the partition. Carriers — vertices
 // provably settling above kmax — sit at a key above every level this
 // interval peels, so they contribute distances but are never re-processed:
-// with carryAssigned (the serial path) a carrier is a vertex settled by a
-// higher interval, keyed at its final core index; without it (a parallel
-// solver, which cannot see other intervals' settles) a carrier is a vertex
-// whose LB3 already exceeds kmax, keyed at that bound. Unsettled vertices
+// a carrier is a vertex a higher interval has published on the broadcast,
+// keyed at its final core index, or one whose LB3 already exceeds kmax,
+// keyed at that bound. Unsettled vertices
 // whose h-degree survived the cleaning untouched are seeded with that
 // exact degree (saving the lazy re-computation); cleaning-affected ones
 // fall back to their best lower bound with the lazy flag raised — and
@@ -204,36 +183,20 @@ func (s *partitionSolver) buildPartition(kmin int, ub []int32) bool {
 //
 //khcore:hotpath
 //khcore:vset-caller-epoch setLB
-func (s *partitionSolver) seedQueue(kmin, kmax int, carryAssigned bool) {
+func (s *partitionSolver) seedQueue(kmin, kmax int) {
 	s.q.Clear()
 	for _, v := range s.part {
 		if !s.alive.Contains(int(v)) {
 			continue
 		}
+		// The broadcast may already carry the exact core index a higher
+		// interval published; a missed publish (a concurrent solver still
+		// peeling it) just falls through to the LB3 test.
 		carrier, key := false, 0
-		if carryAssigned {
-			if s.assigned.Contains(int(v)) {
-				carrier = true
-				key = int(s.core[v])
-				if int(s.lb3[v]) > key {
-					key = int(s.lb3[v])
-				}
-			}
-		} else {
-			// A parallel solver cannot see its own engine-mates' settles
-			// through `assigned`, but the broadcast may already carry the
-			// exact core index a higher interval published — the same
-			// carrier conversion the serial carry gets for free. A missed
-			// publish just falls through to the LB3 test.
-			if s.bcast != nil {
-				if c := int(atomic.LoadInt32(&s.bcast[v])) - 1; c > kmax {
-					carrier, key = true, c
-				}
-			}
-			if !carrier && int(s.lb3[v]) > kmax {
-				carrier = true
-				key = int(s.lb3[v])
-			}
+		if c := int(atomic.LoadInt32(&s.bcast[v])) - 1; c > kmax {
+			carrier, key = true, c
+		} else if int(s.lb3[v]) > kmax {
+			carrier, key = true, int(s.lb3[v])
 		}
 		switch {
 		case carrier:
@@ -273,7 +236,7 @@ func (s *partitionSolver) solveInterval(kmin, kmax int, b runBounds) {
 	s.capped.Clear()
 	s.setLB.Clear()
 	s.improveLB(s.part, kmin, kmax, b)
-	s.seedQueue(kmin, kmax, false)
+	s.seedQueue(kmin, kmax)
 	s.coreDecomp(kmin, kmax)
 }
 
@@ -300,7 +263,7 @@ func (s *partitionSolver) solveInterval(kmin, kmax int, b runBounds) {
 //
 //khcore:hotpath
 //khcore:peel
-//khcore:vset-caller-epoch setLB capped assigned alive
+//khcore:vset-caller-epoch setLB capped alive
 func (s *partitionSolver) coreDecomp(kmin, kmax int) {
 	start := kmin - 1
 	if start < 0 {
@@ -366,7 +329,6 @@ func (s *partitionSolver) coreDecomp(kmin, kmax int) {
 			// Settle v at level k.
 			if k >= kmin {
 				s.core[v] = int32(k)
-				s.assigned.Add(v)
 				if s.bcast != nil {
 					// Publish for lower intervals still peeling: they may
 					// now carrier-convert v instead of re-processing it.

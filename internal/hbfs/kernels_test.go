@@ -230,36 +230,6 @@ func TestHDegree1FastPath(t *testing.T) {
 	}
 }
 
-// TestPoolCappedMatchesSequential checks the batched threshold kernel
-// against per-vertex sequential calls.
-func TestPoolCappedMatchesSequential(t *testing.T) {
-	check := func(seed int64) bool {
-		g, alive, _, h := randomCase(seed)
-		n := g.NumVertices()
-		pool := NewPool(g, 4)
-		defer pool.Close()
-		verts := alive.AppendMembers(make([]int32, 0, n))
-		for _, cap := range []int{1, 3, 10} {
-			par := make([]int32, n)
-			evaluated := pool.HDegreesCapped(verts, h, alive, cap, par)
-			if evaluated != int64(len(verts)) {
-				t.Errorf("seed=%d: evaluated %d of %d live sources", seed, evaluated, len(verts))
-				return false
-			}
-			seq := NewTraversal(g)
-			for _, v := range verts {
-				if int(par[v]) != seq.HDegreeCapped(int(v), h, alive, cap) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 10}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestPoolBallsMatchesSequential checks the Balls batch kernel against per-vertex sequential Ball calls: identical members, order and
 // shell split (Ball is deterministic given the source, so worker identity
 // must not leak into results), with and without an alive mask, through
@@ -279,8 +249,8 @@ func TestPoolBallsMatchesSequential(t *testing.T) {
 			if masked {
 				av = alive
 			}
-			for _, batchMin := range []int{0, 1} { // default (inline here) and forced fan-out
-				pool.SetTuning(batchMin, batchMin)
+			for _, batchMin := range []int{defaultBatchMin, 1} { // inline here, then forced fan-out
+				pool.s.batchMin, pool.s.batchChunk = batchMin, int64(min(batchMin, defaultBatchChunk))
 				got := make([][]int32, n)
 				shells := make([]int, n)
 				pool.Balls(verts, h, av, func(worker int, v int32, ball []int32, shellStart int) {

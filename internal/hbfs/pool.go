@@ -24,14 +24,13 @@ import (
 	"repro/internal/vset"
 )
 
-// DefaultBatchMin is the default batch size below which the publisher runs
-// the whole batch on worker 0 rather than waking the helpers. Tunable per
-// pool via SetTuning.
-const DefaultBatchMin = 64
+// defaultBatchMin is the batch size below which the publisher runs the
+// whole batch on worker 0 rather than waking the helpers.
+const defaultBatchMin = 64
 
-// DefaultBatchChunk is the default number of vertices a worker claims per
-// cursor bump. Tunable per pool via SetTuning.
-const DefaultBatchChunk = 32
+// defaultBatchChunk is the number of vertices a worker claims per cursor
+// bump.
+const defaultBatchChunk = 32
 
 // Pool runs batch h-degree computations with a fixed number of workers.
 // Helper goroutines are spawned lazily on the first large batch and then
@@ -52,7 +51,8 @@ type poolShared struct {
 	workers int
 	travs   []*Traversal
 
-	// Batch tuning, adjustable between batches via SetTuning.
+	// Batch dispatch: defaultBatchMin and defaultBatchChunk, lowered only
+	// by package tests that force the helper fan-out on small batches.
 	batchMin   int
 	batchChunk int64
 
@@ -63,7 +63,6 @@ type poolShared struct {
 	h     int
 	alive *vset.Set
 	out   []int32
-	cap   int // 0 = exact h-degrees, > 0 = capped kernel
 
 	// Sampled-batch mode (HDegreesSampled): when sampled is true the
 	// drain runs the budgeted estimation kernel instead of the exact one.
@@ -159,8 +158,8 @@ func NewPool(g *graph.Graph, workers int) *Pool {
 		g:          g,
 		workers:    workers,
 		travs:      make([]*Traversal, workers),
-		batchMin:   DefaultBatchMin,
-		batchChunk: DefaultBatchChunk,
+		batchMin:   defaultBatchMin,
+		batchChunk: defaultBatchChunk,
 		wake:       make(chan int, workers-1),
 		quit:       make(chan struct{}),
 	}
@@ -172,21 +171,6 @@ func NewPool(g *graph.Graph, workers int) *Pool {
 
 // Workers returns the pool size.
 func (p *Pool) Workers() int { return p.s.workers }
-
-// SetTuning adjusts the batch dispatch parameters: batchMin is the batch
-// size below which the publisher skips waking the helpers, batchChunk the
-// number of vertices a worker claims per cursor bump. Values ≤ 0 restore
-// the defaults. Must not be called while a batch or Run job is in flight.
-func (p *Pool) SetTuning(batchMin, batchChunk int) {
-	if batchMin <= 0 {
-		batchMin = DefaultBatchMin
-	}
-	if batchChunk <= 0 {
-		batchChunk = DefaultBatchChunk
-	}
-	p.s.batchMin = batchMin
-	p.s.batchChunk = int64(batchChunk)
-}
 
 // SetCancel installs a cancellation probe polled by every worker between
 // batch chunks (and by the inline small-batch path every chunk's worth of
@@ -289,12 +273,9 @@ func (s *poolShared) run(t *Traversal) {
 			if s.alive == nil || s.alive.Contains(int(v)) {
 				evaluated++
 			}
-			switch {
-			case s.sampled:
+			if s.sampled {
 				s.out[v] = int32(t.HDegreeSampled(int(v), s.h, s.alive, s.sampleBudget, s.sampleSeed))
-			case s.cap > 0:
-				s.out[v] = int32(t.HDegreeCapped(int(v), s.h, s.alive, s.cap))
-			default:
+			} else {
 				s.out[v] = int32(t.HDegree(int(v), s.h, s.alive))
 			}
 		}
@@ -468,21 +449,7 @@ func (s *poolShared) jobCaptured(w int, t *Traversal) {
 // number of live sources actually evaluated — dead sources (absent from
 // alive) cost nothing and report 0.
 func (p *Pool) HDegrees(verts []int32, h int, alive *vset.Set, out []int32) int64 {
-	return p.batch(verts, h, alive, out, 0)
-}
-
-// HDegreesCapped is the batched threshold kernel: out[v] = min(deg^h(v),
-// cap) for every v in verts, with each BFS aborting once cap discoveries
-// prove the bound (see Traversal.HDegreeCapped). Returns the number of
-// live sources evaluated.
-func (p *Pool) HDegreesCapped(verts []int32, h int, alive *vset.Set, cap int, out []int32) int64 {
-	if cap <= 0 {
-		for _, v := range verts {
-			out[v] = 0
-		}
-		return 0
-	}
-	return p.batch(verts, h, alive, out, cap)
+	return p.batch(verts, h, alive, out)
 }
 
 // HDegreesSampled is the batched estimation kernel behind the approximate
@@ -496,12 +463,12 @@ func (p *Pool) HDegreesCapped(verts []int32, h int, alive *vset.Set, cap int, ou
 func (p *Pool) HDegreesSampled(verts []int32, h int, alive *vset.Set, budget int, seed uint64, out []int32) int64 {
 	s := p.s
 	s.sampled, s.sampleBudget, s.sampleSeed = true, budget, seed
-	evaluated := p.batch(verts, h, alive, out, 0)
+	evaluated := p.batch(verts, h, alive, out)
 	s.sampled, s.sampleBudget, s.sampleSeed = false, 0, 0
 	return evaluated
 }
 
-func (p *Pool) batch(verts []int32, h int, alive *vset.Set, out []int32, cap int) int64 {
+func (p *Pool) batch(verts []int32, h int, alive *vset.Set, out []int32) int64 {
 	if len(verts) == 0 {
 		return 0
 	}
@@ -519,19 +486,16 @@ func (p *Pool) batch(verts []int32, h int, alive *vset.Set, out []int32, cap int
 			if alive == nil || alive.Contains(int(v)) {
 				evaluated++
 			}
-			switch {
-			case s.sampled:
+			if s.sampled {
 				out[v] = int32(t.HDegreeSampled(int(v), h, alive, s.sampleBudget, s.sampleSeed))
-			case cap > 0:
-				out[v] = int32(t.HDegreeCapped(int(v), h, alive, cap))
-			default:
+			} else {
 				out[v] = int32(t.HDegree(int(v), h, alive))
 			}
 		}
 		return evaluated
 	}
 	p.ensureHelpers()
-	s.verts, s.h, s.alive, s.out, s.cap = verts, h, alive, out, cap
+	s.verts, s.h, s.alive, s.out = verts, h, alive, out
 	s.cursor.Store(0)
 	s.evaluated.Store(0)
 	helpers := s.workers - 1
