@@ -188,7 +188,9 @@ func BenchmarkDecomposeHLBUB_h2(b *testing.B) { benchDecompose(b, khcore.HLBUB, 
 func BenchmarkDecomposeHLB_h3(b *testing.B)   { benchDecompose(b, khcore.HLB, 3) }
 func BenchmarkDecomposeHLBUB_h3(b *testing.B) { benchDecompose(b, khcore.HLBUB, 3) }
 
-// Ablation benches for the design choices DESIGN.md calls out.
+// Ablation benches for two design choices: the Algorithm-4 partition width
+// S (README §Performance, "Tunables") and the worker count (README
+// §Performance, "Worker scaling").
 
 func BenchmarkAblationPartitionS1(b *testing.B)  { benchPartition(b, 1) }
 func BenchmarkAblationPartitionS4(b *testing.B)  { benchPartition(b, 4) }
@@ -284,6 +286,7 @@ func BenchmarkMaintainerInsert(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer m.Close()
 	b.ReportAllocs()
 	b.ResetTimer()
 	u, v := 0, 1

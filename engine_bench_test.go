@@ -33,6 +33,7 @@ func benchGraph() *khcore.Graph {
 func benchmarkEngineRepeated(b *testing.B, workers int) {
 	g := benchGraph()
 	eng := khcore.NewEngine(g, workers)
+	defer eng.Close()
 	opts := khcore.Options{H: 2, Algorithm: khcore.HLBUB, Workers: workers}
 	var res khcore.Result
 	if err := eng.DecomposeInto(&res, opts); err != nil { // warm the scratch arena

@@ -53,6 +53,7 @@ func TestEngineMatchesDecompose(t *testing.T) {
 				}
 			}
 		}
+		eng.Close()
 	}
 }
 

@@ -58,6 +58,7 @@ func main() {
 	// Serving workloads: a long-lived Engine answers repeated queries from
 	// one reusable scratch arena — zero steady-state allocations.
 	eng := khcore.NewEngine(g, 1)
+	defer eng.Close()
 	var out khcore.Result
 	fmt.Println("\nengine sweep over h:")
 	for h := 1; h <= 3; h++ {

@@ -2,11 +2,12 @@
 // §5.2/§6.5: an h-club verifier, the DROP construction heuristic, two exact
 // combinatorial solvers (whole-graph branch & bound standing in for DBC,
 // and a neighborhood-iterative variant standing in for ITDBC — the paper's
-// IP solvers require Gurobi, see DESIGN.md §3), and Algorithm 7, which
-// wraps any black-box solver with the (k,h)-core decomposition: every
-// h-club of size k+1 lives inside the (k,h)-core (Theorem 3), so the
-// search can start from the small innermost core and stop as soon as a
-// club larger than the current core index is found.
+// IP solvers require Gurobi, which this dependency-free module cannot
+// call), and Algorithm 7, which wraps any black-box solver with the
+// (k,h)-core decomposition: every h-club of size k+1 lives inside the
+// (k,h)-core (Theorem 3), so the search can start from the small
+// innermost core and stop as soon as a club larger than the current core
+// index is found.
 package hclub
 
 import (

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/gen"
+	"repro/internal/leakcheck"
 )
 
 // countdownCtx is a context.Context that reports itself canceled after its
@@ -184,6 +185,19 @@ func TestCancelMaintainer(t *testing.T) {
 		t.Fatal(err)
 	}
 	decomposeEqual(t, m.Core(), want.Core, "maintainer after canceled update")
+}
+
+// TestCancelNewMaintainerReleasesPool pins that a constructor whose
+// initial decomposition is canceled closes the engine it built: the
+// caller never receives a Maintainer to Close, so any h-BFS helper left
+// parked would leak.
+func TestCancelNewMaintainerReleasesPool(t *testing.T) {
+	leakcheck.Check(t)
+	g := gen.ErdosRenyi(200, 600, 9)
+	m, err := NewMaintainerCtx(newCountdown(3), g, 2, Options{Workers: 2})
+	if !errors.Is(err, ErrCanceled) || m != nil {
+		t.Fatalf("got maintainer %v, error %v; want nil, ErrCanceled", m, err)
+	}
 }
 
 // TestCancelMaintainerRetryAndRefresh pins the two recovery paths from a

@@ -398,12 +398,13 @@ func NewEngine(g *graph.Graph, workers int) *Engine {
 			}
 			// Claim intervals top-down. ImproveLB recounts only boundary
 			// vertices, so the widest (lowest) subgraphs are not the
-			// costliest: on a road grid at h = 3 the top
-			// interval carries about 1.9M of the interval phase's 2.2M
-			// visits. Starting it first shortens the makespan, and lower
-			// intervals find more of its settles on the broadcast; on a
-			// 2-vCPU host this cut the two-worker interval phase by about
-			// 20% on that grid and 15% on a Barabási–Albert graph at h = 2.
+			// costliest: on a road grid at h = 3 the top interval carries
+			// about 0.37M of the interval phase's 0.52M visits. Starting
+			// it first shortens the makespan, and lower intervals find
+			// more of its settles on the broadcast; on a 2-vCPU host, with
+			// a top interval that carried most of the interval phase's
+			// visits, this cut the two-worker interval phase by about 20%
+			// on that grid and 15% on a Barabási–Albert graph at h = 2.
 			iv := e.intervals[i]
 			s.stats.Partitions++
 			s.solveInterval(iv.kmin, iv.kmax, e.par)
@@ -417,9 +418,9 @@ func NewEngine(g *graph.Graph, workers int) *Engine {
 	return e
 }
 
-// Close retires the engine's h-BFS worker goroutines. Optional: an
-// abandoned engine's workers are reclaimed by a finalizer, but explicit
-// Close makes teardown deterministic. The engine remains usable, running
+// Close retires the engine's h-BFS worker goroutines. Every engine must be
+// closed: nothing else retires them, so a dropped multi-worker engine
+// leaks its parked helpers. The engine remains usable, running
 // single-threaded afterwards.
 func (e *Engine) Close() { e.pool.Close() }
 

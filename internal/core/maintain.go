@@ -109,6 +109,7 @@ func NewMaintainerCtx(ctx context.Context, g *graph.Graph, h int, opts Options) 
 	}
 	m.eng = NewEngine(g, opts.Workers)
 	if err := m.eng.DecomposeIntoCtx(ctx, &m.res, opts); err != nil {
+		m.eng.Close()
 		return nil, err
 	}
 	m.core = make([]int32, len(m.res.Core))

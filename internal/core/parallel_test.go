@@ -195,6 +195,54 @@ func TestParallelSingleCPUMatchesOneWorker(t *testing.T) {
 	}
 }
 
+// TestUBSettleAgreesWithOracle pins coreDecomp's upper-bound settle (a
+// flagged vertex popped at a level k ≥ kmin with ub ≤ k settles at k with
+// no recount) against the naive oracle. Each input runs three ways at one
+// and two workers: plain; with the seed upper bound equal to the oracle
+// cores, so every bound is tight and the rule fires on every flagged pop
+// at or above kmin; and with the seed bound one above the oracle, so it
+// fires only where Algorithm 5 was already tight. An unsound settle
+// (settling a vertex whose core exceeds the frontier) shows up as a core
+// index below the oracle's.
+func TestUBSettleAgreesWithOracle(t *testing.T) {
+	forceParallel(t)
+	inputs := append(concentratedSpectrumGraphs(), []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"ba", gen.BarabasiAlbert(120, 3, 9)},
+		{"er", gen.ErdosRenyi(100, 300, 13)},
+	}...)
+	for _, in := range inputs {
+		n := in.g.NumVertices()
+		for h := 1; h <= 3; h++ {
+			want := NaiveDecompose(in.g, h)
+			tight := make([]int32, n)
+			loose := make([]int32, n)
+			for v, c := range want {
+				tight[v] = int32(c)
+				loose[v] = int32(c) + 1
+			}
+			for _, workers := range []int{1, 2} {
+				e := NewEngine(in.g, workers)
+				for _, seed := range []struct {
+					name string
+					ub   []int32
+				}{{"plain", nil}, {"tight", tight}, {"tight+1", loose}} {
+					e.seedUB = seed.ub
+					got, err := e.Decompose(Options{H: h, Algorithm: HLBUB})
+					if err != nil {
+						e.Close()
+						t.Fatal(err)
+					}
+					equalCores(t, fmt.Sprintf("%s h=%d workers=%d seedUB=%s", in.name, h, workers, seed.name), got, want)
+				}
+				e.Close()
+			}
+		}
+	}
+}
+
 // TestImproveLBReusesPhaseOneDegrees pins that the h-degree reuse engages
 // where it should: on the concentrated-spectrum inputs, most partition
 // members across the planned intervals have their whole h-ball inside

@@ -15,10 +15,12 @@ import (
 // the bucket queue, the traversal scratch and the work counters. An Engine
 // owns one solver per concurrently peeled h-LB+UB interval, each running
 // on its own pool worker so concurrent intervals never share mutable
-// state; solver 0 also serves h-BZ, h-LB and localized repair. The only cross-solver writes are the final
-// core indices, which land in the shared core array at disjoint positions
-// (each vertex's core index falls in exactly one interval), and the
-// settled-vertex broadcast.
+// state; solver 0 also serves h-BZ, h-LB and localized repair. Interval
+// solvers read the run's shared bound arrays: the upper bounds pick the
+// partition and, during the peel, settle vertices they already pin. The
+// only cross-solver writes are the final core indices, which land in the
+// shared core array at disjoint positions (each vertex's core index falls
+// in exactly one interval), and the settled-vertex broadcast.
 type partitionSolver struct {
 	g *graph.Graph
 	// t is the solver's h-BFS traversal: the traversal of the pool worker
@@ -45,6 +47,11 @@ type partitionSolver struct {
 	// outside an interval fan-out (bind clears it; runIntervals
 	// re-attaches it).
 	bcast []int32
+	// ub, when non-nil, is the run's shared per-vertex core upper bound
+	// (the Algorithm-5 bound, clamped by any seed bound) and arms
+	// coreDecomp's upper-bound settle. solveInterval attaches it around
+	// its peel; h-BZ, h-LB and localized repair run with it nil.
+	ub []int32
 
 	// alive marks vertices present in the current (sub)graph.
 	alive *vset.Set
@@ -110,6 +117,7 @@ func (s *partitionSolver) bind(g *graph.Graph, core []int32, h, slack int, t *hb
 	s.t = t
 	s.cancel = cancel
 	s.bcast = nil // re-attached per fan-out by runIntervals
+	s.ub = nil    // attached per interval by solveInterval
 	s.alive.Resize(n)
 	s.setLB.Resize(n)
 	s.dirty.Resize(n)
@@ -237,7 +245,9 @@ func (s *partitionSolver) solveInterval(kmin, kmax int, b runBounds) {
 	s.setLB.Clear()
 	s.improveLB(s.part, kmin, kmax, b)
 	s.seedQueue(kmin, kmax)
+	s.ub = b.ub
 	s.coreDecomp(kmin, kmax)
+	s.ub = nil
 }
 
 // coreDecomp is Algorithm 3: peel buckets kmin-1 .. kmax, assigning core
@@ -254,12 +264,21 @@ func (s *partitionSolver) solveInterval(kmin, kmax int, b runBounds) {
 // key ≥ k implies either a sound core lower bound ≥ k (setLB) or a true
 // h-degree ≥ min(key, deg entry) — the frontier never advances past a
 // vertex whose true h-degree it should have caught, and a vertex is only
-// ever settled after an exact (un-truncated) count at the frontier.
+// ever settled after an exact (un-truncated) count at the frontier —
+// unless its upper bound already fixes the index (below).
 //
-// Deviation from the paper's pseudocode (documented in DESIGN.md): lazy
-// re-bucketing inserts at max(deg, k), not deg, because the recomputed
-// h-degree can fall below the current level when same-core neighbors were
-// peeled first; inserting below the frontier would orphan the vertex.
+// Upper-bound settle (h-LB+UB intervals, s.ub armed): a flagged vertex
+// popped at a level k ≥ kmin with ub ≤ k settles at k with no recount.
+// At such a level every alive vertex lies in the (k,h)-core of G[V[kmin]],
+// which Observation 3 makes the (k,h)-core of G, so core(v) ≥ k, and the
+// upper bound caps it at k. On a concentrated upper-bound spectrum (a road
+// grid, where most vertices' bound equals the maximum core index) this
+// removes most of the top interval's lazy recounts.
+//
+// Deviation from the paper's pseudocode: lazy re-bucketing inserts at
+// max(deg, k), not deg, because the recomputed h-degree can fall below the
+// current level when same-core neighbors were peeled first; inserting
+// below the frontier would orphan the vertex.
 //
 //khcore:hotpath
 //khcore:peel
@@ -291,6 +310,14 @@ func (s *partitionSolver) coreDecomp(kmin, kmax int) {
 				// still feeds correct decrements into the region.
 				if s.hasPinned && s.pinned.Contains(v) {
 					s.removeAndUpdate(v, k)
+					continue
+				}
+				// Upper-bound settle (see above): ub[v] ≤ k pins
+				// core(v) = k, so a recount would only re-prove it. Such
+				// a v is never a broadcast carrier (core(v) ≤ ub[v] ≤ k ≤
+				// kmax), so the check below could not fire for it.
+				if s.ub != nil && k >= kmin && int(s.ub[v]) <= k {
+					s.settle(v, k)
 					continue
 				}
 				// Before paying a truncated recount, consult the broadcast:
@@ -326,19 +353,30 @@ func (s *partitionSolver) coreDecomp(kmin, kmax int) {
 				s.q.insert(v, d)
 				continue
 			}
-			// Settle v at level k.
 			if k >= kmin {
-				s.core[v] = int32(k)
-				if s.bcast != nil {
-					// Publish for lower intervals still peeling: they may
-					// now carrier-convert v instead of re-processing it.
-					atomic.StoreInt32(&s.bcast[v], int32(k)+1)
-				}
+				s.settle(v, k)
+			} else {
+				s.setLB.Add(v)
+				s.removeAndUpdate(v, k)
 			}
-			s.setLB.Add(v)
-			s.removeAndUpdate(v, k)
 		}
 	}
+}
+
+// settle assigns core index k to v, publishes it on the broadcast (when
+// armed) and removes v from the peel.
+//
+//khcore:hotpath
+//khcore:vset-caller-epoch setLB
+func (s *partitionSolver) settle(v, k int) {
+	s.core[v] = int32(k)
+	if s.bcast != nil {
+		// Publish for lower intervals still peeling: they may now
+		// carrier-convert v instead of re-processing it.
+		atomic.StoreInt32(&s.bcast[v], int32(k)+1)
+	}
+	s.setLB.Add(v)
+	s.removeAndUpdate(v, k)
 }
 
 // removeAndUpdate deletes v from the alive set and refreshes the h-degrees

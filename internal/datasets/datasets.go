@@ -5,8 +5,8 @@
 // near-planar road network) at a size small enough for a test harness; the
 // Scale field records the reduction factor. The experiments reproduce
 // relative behaviour (which algorithm wins, how bounds tighten by graph
-// family), which depends on topology class rather than raw size — see
-// DESIGN.md §3.
+// family), which depends on topology class rather than raw size;
+// TestTopologyClassSignatures pins each analog's class signature.
 package datasets
 
 import (

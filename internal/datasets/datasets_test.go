@@ -171,9 +171,9 @@ func TestPaperGraphAllAlgorithms(t *testing.T) {
 
 // TestTopologyClassSignatures checks that each analog carries the
 // structural signature of its class — the property the relative
-// experiments rely on (DESIGN.md §3): collaboration graphs are strongly
-// clustered, road networks are nearly triangle-free with tiny max degree,
-// social analogs have heavy-tailed hubs.
+// experiments rely on (see the package doc): collaboration graphs are
+// strongly clustered, road networks are nearly triangle-free with tiny
+// max degree, social analogs have heavy-tailed hubs.
 func TestTopologyClassSignatures(t *testing.T) {
 	clustering := map[string]float64{}
 	for _, d := range All() {

@@ -250,7 +250,7 @@ func TestPoolBallsMatchesSequential(t *testing.T) {
 				av = alive
 			}
 			for _, batchMin := range []int{defaultBatchMin, 1} { // inline here, then forced fan-out
-				pool.s.batchMin, pool.s.batchChunk = batchMin, int64(min(batchMin, defaultBatchChunk))
+				pool.batchMin, pool.batchChunk = batchMin, int64(min(batchMin, defaultBatchChunk))
 				got := make([][]int32, n)
 				shells := make([]int, n)
 				pool.Balls(verts, h, av, func(worker int, v int32, ball []int32, shellStart int) {

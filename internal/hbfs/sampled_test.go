@@ -117,7 +117,7 @@ func TestPoolSampledBitIdenticalAcrossWorkers(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2, 4} {
 		p := NewPool(g, workers)
-		p.s.batchMin, p.s.batchChunk = 2, 8
+		p.batchMin, p.batchChunk = 2, 8
 		out := make([]int32, n)
 		p.HDegreesSampled(verts, h, nil, budget, seed, out)
 		for v := range want {
